@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd bench bench-stm bench-adaptive bench-batch bench-fold bench-fleet bench-txkv bench-latency bench-trace trace-demo fuzz-trace tidy
+.PHONY: all build vet test bench-check race-short race-adaptive scenario-parity smoke-txkv smoke-txkvd bench bench-stm bench-adaptive bench-batch bench-fold bench-fleet bench-txkv bench-latency bench-trace trace-demo fuzz-trace tidy
 
 all: build vet test
 
@@ -15,6 +15,16 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark module (txbench/, its own go.mod) sits outside the
+# root module, so build/vet/test above never compile it. Vet it, then
+# run its self-check: BENCHMARK.json names exactly the metrics each
+# workload emits, and a short smoke of every workload, traced and
+# untraced, passes its correctness gate. CI runs this as a blocking
+# step.
+bench-check:
+	cd txbench && $(GO) vet ./...
+	bash txbench/run.sh --selfcheck
 
 # Race-detector pass over the runtimes with real concurrency
 # (internal/stm: goroutine STM; internal/htm: simulator driven from

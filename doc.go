@@ -68,8 +68,9 @@
 // KWindow, CommitBatch, retry bounds — lives in an stm.Policy behind
 // one atomic pointer, swappable mid-run via Runtime.SetPolicy (each
 // attempt latches the policy once, so swaps never tear a running
-// transaction). internal/tune closes the trace→policy loop online —
-// a Sampler in the Config.Trace seam keeps rolling counters, a
+// transaction). internal/tune closes the profile→policy loop online —
+// windows read off the runtime's always-on metrics plane (which owns
+// every runtime counter, stm.Stats being a view over it), a
 // hysteresis Controller maps windowed observations to policy moves
 // (group-commit lane on grace fraction, KWindow from k variance,
 // requestor-wins↔aborts at the paper's k≈2.5 boundary), and a Tuner

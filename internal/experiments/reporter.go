@@ -21,7 +21,7 @@ import (
 // reading the runtime's final counters.
 func startReporter(w io.Writer, rt *stm.Runtime, every time.Duration, label string) (stop func()) {
 	p := rt.Metrics()
-	if p == nil || every <= 0 {
+	if every <= 0 {
 		return func() {}
 	}
 	done := make(chan struct{})

@@ -1,9 +1,10 @@
-// Package metrics is the runtime's always-on observability plane: a
-// lock-free layer between the raw atomic counters of stm.Stats and
-// the heavyweight per-transaction traces of internal/trace. It
-// answers the questions counters cannot ("what is commit p99 right
+// Package metrics is the runtime's always-on observability plane and
+// the single source of every STM counter: stm.Stats, the tuner's
+// windows, /metrics and the bench harnesses all read it, while the
+// heavyweight per-transaction traces of internal/trace stay optional.
+// It answers the questions counters cannot ("what is commit p99 right
 // now?") at a cost traces cannot match (a handful of atomic adds per
-// transaction, zero allocations).
+// transaction on the worker's own shard, zero allocations).
 //
 // Three pieces:
 //
@@ -13,14 +14,16 @@
 //     concurrent Observe calls never lock — and snapshots are value
 //     types that merge and subtract, so per-worker shards and rolling
 //     windows fall out of the representation.
-//   - AbortReason / CommitPhase: the abort-reason taxonomy that
-//     replaces the single Aborts counter, and the commit-phase timer
-//     labels (validation, lock acquisition, write-back, stripe-clock
-//     advance) sampled 1-in-N on the commit path.
+//   - AbortReason / CommitPhase / Event: the abort-reason taxonomy,
+//     the commit-phase timer labels (validation, lock acquisition,
+//     write-back, stripe-clock advance) sampled 1-in-N on the commit
+//     path, and the plain event counters (kills, extensions, combiner
+//     rounds, folds) that no histogram already counts.
 //   - Plane: per-worker cache-line-padded shards of the above, plus a
 //     merged PlaneSnapshot and a Prometheus text-exposition writer
 //     (prom.go) — the backing store for txkvd's GET /metrics, the
-//     latency section of /v1/stats, and the p99 feed of the tuner.
+//     counter and latency sections of /v1/stats, and the windows of
+//     the tuner.
 package metrics
 
 import (

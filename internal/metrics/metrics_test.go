@@ -159,6 +159,52 @@ func TestPlaneShards(t *testing.T) {
 	}
 }
 
+// TestPlaneCountersAndSub checks the event counters, the snapshot
+// difference and the derived named counters: each key reads the right
+// observation, and a kill counts once — under kills and the killed
+// reason, never as a self abort.
+func TestPlaneCountersAndSub(t *testing.T) {
+	p := NewPlane(2, 0)
+	a, b := p.Shard(0), p.Shard(1)
+	a.ObserveCommit(100)
+	a.Count(EventKill, 1)
+	b.Abort(AbortKilled)
+	prev := p.Snapshot()
+
+	a.ObserveCommit(200)
+	b.ObserveCommit(300)
+	a.ObserveGrace(50)
+	b.Abort(AbortValidation)
+	b.Abort(AbortMaxRetries)
+	a.Abort(AbortExplicit)
+	a.Count(EventBatch, 1)
+	a.Count(EventBatchCommit, 3)
+	b.Count(EventFoldedWord, 2)
+	cur := p.Snapshot()
+
+	d := cur.Sub(prev)
+	if d.Commit.Count != 2 || d.Commit.Sum != 500 || d.Grace.Sum != 50 {
+		t.Fatalf("delta commit %d/%dns grace %dns, want 2/500ns 50ns", d.Commit.Count, d.Commit.Sum, d.Grace.Sum)
+	}
+	if d.Events[EventKill] != 0 || d.Events[EventBatchCommit] != 3 || d.Aborts[AbortKilled] != 0 {
+		t.Fatalf("delta events %v aborts %v", d.Events, d.Aborts)
+	}
+	want := map[string]uint64{
+		"commits": 3, "aborts": 2, "selfAborts": 1, "graceWaits": 1, "irrevocable": 1,
+		"kills": 1, "extensions": 0, "batches": 1, "batchCommits": 3, "batchFails": 0,
+		"foldedCommits": 0, "foldedWords": 2,
+	}
+	got := cur.Counters()
+	if len(got) != len(want) {
+		t.Fatalf("Counters() = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("Counters()[%q] = %d, want %d", k, got[k], v)
+		}
+	}
+}
+
 // TestSampleInterval pins the 1-in-N contract.
 func TestSampleInterval(t *testing.T) {
 	p := NewPlane(1, 8)

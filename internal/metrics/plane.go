@@ -85,6 +85,51 @@ func (p CommitPhase) String() string {
 	return "unknown"
 }
 
+// Event labels the plain per-shard event counters: occurrences the
+// histograms and the abort taxonomy do not already count. Each is
+// counted once, on the shard of the worker that caused it.
+type Event uint8
+
+const (
+	// EventKill: a requestor won a conflict and killed the receiving
+	// attempt (counted on the requestor's shard).
+	EventKill Event = iota
+	// EventExtension: a successful stripe-snapshot extension.
+	EventExtension
+	// EventBatch: one combiner round (a drain spans up to
+	// 1 + the combiner's help rounds).
+	EventBatch
+	// EventBatchCommit: a write set committed by a combiner round.
+	EventBatchCommit
+	// EventBatchFail: a write set refused admission inside a round.
+	EventBatchFail
+	// EventFoldedCommit: an admitted member whose deltas were folded.
+	EventFoldedCommit
+	// EventFoldedWord: a hot word applied as one summed delta.
+	EventFoldedWord
+
+	NumEvents = int(EventFoldedWord) + 1
+)
+
+// eventNames are the counter keys used in stm.Stats, JSON and the
+// txstm_*_total exposition.
+var eventNames = [NumEvents]string{
+	"kills",
+	"extensions",
+	"batches",
+	"batchCommits",
+	"batchFails",
+	"foldedCommits",
+	"foldedWords",
+}
+
+func (e Event) String() string {
+	if int(e) < len(eventNames) {
+		return eventNames[e]
+	}
+	return "unknown"
+}
+
 const cacheLine = 64
 
 // DefaultSampleN is the default 1-in-N sampling interval for the
@@ -105,6 +150,7 @@ type Shard struct {
 	aborts  [NumAbortReasons]atomic.Uint64
 	phaseNs [NumCommitPhases]atomic.Uint64
 	phaseN  [NumCommitPhases]atomic.Uint64
+	events  [NumEvents]atomic.Uint64
 
 	tick       atomic.Uint64
 	sampleMask uint64
@@ -127,6 +173,9 @@ func (s *Shard) ObserveDrain(ns int64) { s.drain.Observe(ns) }
 
 // Abort attributes one aborted attempt (or escalation event).
 func (s *Shard) Abort(r AbortReason) { s.aborts[r].Add(1) }
+
+// Count adds n occurrences of event e.
+func (s *Shard) Count(e Event, n uint64) { s.events[e].Add(n) }
 
 // Sample reports whether this commit should run the phase timers:
 // true once every SampleN calls on this shard.
@@ -196,6 +245,7 @@ type PlaneSnapshot struct {
 	Aborts  [NumAbortReasons]uint64
 	PhaseNs [NumCommitPhases]uint64
 	PhaseN  [NumCommitPhases]uint64
+	Events  [NumEvents]uint64
 
 	SampleN int
 }
@@ -217,13 +267,37 @@ func (p *Plane) Snapshot() PlaneSnapshot {
 			out.PhaseNs[ph] += sh.phaseNs[ph].Load()
 			out.PhaseN[ph] += sh.phaseN[ph].Load()
 		}
+		for e := 0; e < NumEvents; e++ {
+			out.Events[e] += sh.events[e].Load()
+		}
 	}
 	return out
 }
 
-// AbortTotal sums the taxonomy (per-attempt reasons only, excluding
-// the MaxRetries escalation marker and explicit user aborts, so the
-// total is comparable to Stats.Aborts).
+// Sub returns s minus prev: everything the plane observed between two
+// snapshots of it (prev must be the earlier one).
+func (s PlaneSnapshot) Sub(prev PlaneSnapshot) PlaneSnapshot {
+	out := s
+	out.Attempt = s.Attempt.Sub(prev.Attempt)
+	out.Commit = s.Commit.Sub(prev.Commit)
+	out.Grace = s.Grace.Sub(prev.Grace)
+	out.Drain = s.Drain.Sub(prev.Drain)
+	for r := range out.Aborts {
+		out.Aborts[r] -= prev.Aborts[r]
+	}
+	for ph := range out.PhaseNs {
+		out.PhaseNs[ph] -= prev.PhaseNs[ph]
+		out.PhaseN[ph] -= prev.PhaseN[ph]
+	}
+	for e := range out.Events {
+		out.Events[e] -= prev.Events[e]
+	}
+	return out
+}
+
+// AbortTotal sums the taxonomy over per-attempt reasons only: every
+// aborted-and-retried attempt, excluding the MaxRetries escalation
+// marker and explicit user aborts (the "aborts" counter).
 func (s *PlaneSnapshot) AbortTotal() uint64 {
 	var t uint64
 	for r := 0; r < NumAbortReasons; r++ {
@@ -251,6 +325,25 @@ func (s *PlaneSnapshot) AbortCounts() map[string]uint64 {
 	out := make(map[string]uint64, NumAbortReasons)
 	for r := 0; r < NumAbortReasons; r++ {
 		out[AbortReason(r).String()] = s.Aborts[r]
+	}
+	return out
+}
+
+// Counters derives the runtime's named counters — the key set of
+// stm.Stats.Snapshot, /v1/stats and the txstm_*_total exposition —
+// from the snapshot. The first five are read off observations the
+// plane already makes; the rest are the Event counters.
+func (s *PlaneSnapshot) Counters() map[string]uint64 {
+	aborts := s.AbortTotal()
+	out := map[string]uint64{
+		"commits":     s.Commit.Count,
+		"aborts":      aborts,
+		"selfAborts":  aborts - s.Aborts[AbortKilled],
+		"graceWaits":  s.Grace.Count,
+		"irrevocable": s.Aborts[AbortMaxRetries],
+	}
+	for e := 0; e < NumEvents; e++ {
+		out[Event(e).String()] = s.Events[e]
 	}
 	return out
 }

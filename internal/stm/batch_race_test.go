@@ -81,7 +81,7 @@ func TestBatchKillStress(t *testing.T) {
 		target = 50
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for rt.Stats.Kills.Load() < target/10 || rt.Stats.Batches.Load() < target {
+	for stat(rt, "kills") < target/10 || stat(rt, "batches") < target {
 		if time.Now().After(deadline) {
 			break
 		}
@@ -97,7 +97,7 @@ func TestBatchKillStress(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		tallySum += rt.ReadCommitted(hot + w)
 	}
-	commits := rt.Stats.Commits.Load()
+	commits := stat(rt, "commits")
 	if hotSum != 2*commits || tallySum != commits {
 		t.Fatalf("ledger broken: hot sum %d (want %d), tally sum %d (want %d); stats %v",
 			hotSum, 2*commits, tallySum, commits, rt.Stats.Snapshot())

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,6 +45,7 @@ func TestEpochKillSkipsLaterAttempt(t *testing.T) {
 	abort1 := make(chan struct{})
 	held2 := make(chan struct{}, 4)
 	done2 := make(chan struct{})
+	var recv atomic.Pointer[Tx] // the receiver's descriptor, reused by attempt 2
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // receiver
@@ -51,6 +53,7 @@ func TestEpochKillSkipsLaterAttempt(t *testing.T) {
 		_ = rt.Atomic(recvR, func(tx *Tx) error {
 			tx.Store(0, 7)
 			if tx.Attempts() == 0 {
+				recv.Store(tx)
 				close(held1)
 				<-abort1
 				panic(txAbort{reason: metrics.AbortValidation})
@@ -74,36 +77,100 @@ func TestEpochKillSkipsLaterAttempt(t *testing.T) {
 		})
 	}()
 
-	waitFor := func(cond func() bool, what string) {
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never happened (stats %v)", what, rt.Stats.Snapshot())
-			}
-			runtime.Gosched()
-		}
-	}
+	// A grace wait is counted when it ends; one in progress shows as a
+	// waiter on the receiver's descriptor.
+	waiting := func() bool { return recv.Load().waiters.Load() >= 1 }
 	// Park the requestor against attempt 1, then retire attempt 1.
-	waitFor(func() bool { return rt.Stats.GraceWaits.Load() >= 1 }, "requestor grace wait")
+	waitFor(t, rt, waiting, "requestor grace wait")
 	close(abort1)
 	<-held2
-	// The fixed protocol starts a *fresh* grace wait against attempt
-	// 2 (or the requestor slipped in and committed during the
-	// inter-attempt window); the broken one fires the stale deadline
-	// and kills attempt 2.
-	waitFor(func() bool {
-		return rt.Stats.GraceWaits.Load() >= 2 ||
-			rt.Stats.Commits.Load() >= 1 || // requestor won the window
-			rt.Stats.Kills.Load() >= 1
+	// The fixed protocol ends the first wait and starts a *fresh*
+	// one against attempt 2 (or the requestor slipped in and
+	// committed during the inter-attempt window); the broken one
+	// fires the stale deadline and kills attempt 2.
+	waitFor(t, rt, func() bool {
+		return stat(rt, "graceWaits") >= 1 && waiting() ||
+			stat(rt, "commits") >= 1 || // requestor won the window
+			stat(rt, "kills") >= 1
 	}, "requestor re-resolution")
 	close(done2)
 	wg.Wait()
 
-	if kills := rt.Stats.Kills.Load(); kills != 0 {
+	if kills := stat(rt, "kills"); kills != 0 {
 		t.Fatalf("stale requestor killed a later attempt (%d kills, stats %v)", kills, rt.Stats.Snapshot())
 	}
-	if commits := rt.Stats.Commits.Load(); commits != 2 {
+	if commits := stat(rt, "commits"); commits != 2 {
 		t.Fatalf("commits = %d, want 2 (stats %v)", commits, rt.Stats.Snapshot())
+	}
+}
+
+// waitFor spins until cond holds, failing the test after 10s.
+func waitFor(t *testing.T, rt *Runtime, cond func() bool, what string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened (stats %v)", what, rt.Stats.Snapshot())
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestKillBeforeNoReturnCountsOnce stages a kill that lands while the
+// receiver is parked past its last instrumentation point, so the
+// receiver first sees it when it tries to enter the no-return phase.
+// That attempt is one abort with one reason: killed. It must not also
+// count as a self abort (the old enterNoReturn counted it under both).
+func TestKillBeforeNoReturnCountsOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Strategy = nil // NO_DELAY: the requestor kills at once
+	cfg.MaxRetries = 0
+	rt := New(2, cfg)
+	root := rng.New(5)
+	recvR, reqR := root.Split(), root.Split()
+
+	held := make(chan struct{})
+	release := make(chan struct{})
+	reqDone := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // receiver
+		defer wg.Done()
+		_ = rt.Atomic(recvR, func(tx *Tx) error {
+			if tx.Attempts() > 0 {
+				<-reqDone // retry behind the requestor: no second conflict
+			}
+			tx.Store(0, tx.Load(0)+1)
+			if tx.Attempts() == 0 {
+				close(held)
+				<-release
+			}
+			return nil
+		})
+	}()
+	<-held
+	go func() { // requestor
+		defer wg.Done()
+		_ = rt.Atomic(reqR, func(tx *Tx) error {
+			tx.Store(0, tx.Load(0)+10)
+			return nil
+		})
+		close(reqDone)
+	}()
+	waitFor(t, rt, func() bool { return stat(rt, "kills") >= 1 }, "kill")
+	close(release)
+	wg.Wait()
+
+	snap := rt.Stats.Snapshot()
+	if snap["kills"] != 1 || snap["aborts"] != 1 || snap["selfAborts"] != 0 || snap["commits"] != 2 {
+		t.Fatalf("stats = %v, want 1 kill, 1 abort, 0 self aborts, 2 commits", snap)
+	}
+	ps := rt.Metrics().Snapshot()
+	if got := ps.AbortCounts()["killed"]; got != 1 {
+		t.Fatalf("abortReasons[killed] = %d, want 1 (taxonomy %v)", got, ps.AbortCounts())
+	}
+	if got := rt.ReadCommitted(0); got != 11 {
+		t.Fatalf("word 0 = %d, want 11", got)
 	}
 }
 
@@ -160,7 +227,7 @@ func TestForeignPanicReleasesIrrevocableToken(t *testing.T) {
 			panic("user bug on the irrevocable path")
 		})
 	}()
-	if rt.Stats.Irrevocable.Load() == 0 {
+	if stat(rt, "irrevocable") == 0 {
 		t.Fatal("staging failed: transaction never went irrevocable")
 	}
 	if !rt.fallback.TryLock() {

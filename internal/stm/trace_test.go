@@ -165,7 +165,7 @@ func TestTraceKillAccounting(t *testing.T) {
 		})
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for rt.Stats.Kills.Load() == 0 {
+	for stat(rt, "kills") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("kill never landed (stats %v)", rt.Stats.Snapshot())
 		}

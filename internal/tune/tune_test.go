@@ -6,53 +6,57 @@ import (
 	"time"
 
 	"txconflict/internal/core"
+	"txconflict/internal/metrics"
 	"txconflict/internal/stm"
 )
 
-// feed pushes n synthetic committed transactions into s, each with
-// the given grace-wait and total duration.
-func feed(s *Sampler, n int, graceNs, durNs int64) {
+// feed records n synthetic committed blocks on sh, each with the
+// given grace wait and total duration — what the runtime observes
+// when a block commits.
+func feed(sh *metrics.Shard, n int, graceNs, durNs int64) {
 	for i := 0; i < n; i++ {
-		s.TraceTx(&stm.TxTrace{Committed: true, GraceWaitNs: graceNs, DurNs: durNs})
+		if graceNs > 0 {
+			sh.ObserveGrace(graceNs)
+		}
+		sh.ObserveCommit(durNs)
 	}
 }
 
-type recordingTracer struct {
-	n         int
-	annotated int
+// delta snapshots p and returns the difference from prev, plus the new
+// snapshot for the next window.
+func delta(p *metrics.Plane, prev metrics.PlaneSnapshot) (metrics.PlaneSnapshot, metrics.PlaneSnapshot) {
+	cur := p.Snapshot()
+	return cur.Sub(prev), cur
 }
 
-func (r *recordingTracer) TraceTx(*stm.TxTrace) { r.n++ }
-func (r *recordingTracer) AnnotateProgram(worker, ops int, compute, think float64) {
-	r.annotated++
-}
+// TestWindowFromPlane checks the window math over plane deltas: each
+// field reads the right plane observation, a user abort adds nothing
+// to the committed-block time, and GraceFrac/CommitsPerSec divide
+// correctly.
+func TestWindowFromPlane(t *testing.T) {
+	p := metrics.NewPlane(2, 0)
+	sh := p.Shard(0)
+	feed(sh, 1, 100, 1000)
+	sh.Count(metrics.EventKill, 1)
+	// An explicit user abort: an attempt and a taxonomy entry, no
+	// commit observation.
+	sh.ObserveAttempt(500)
+	sh.Abort(metrics.AbortExplicit)
 
-func TestSamplerCountersAndTee(t *testing.T) {
-	next := &recordingTracer{}
-	s := NewSampler(next)
-	s.TraceTx(&stm.TxTrace{Committed: true, Retries: 2, KillsIssued: 1, GraceWaitNs: 100, DurNs: 1000})
-	s.TraceTx(&stm.TxTrace{Committed: false, KillsSuffered: 3, Irrevocable: true, DurNs: 500})
-	s.AnnotateProgram(0, 4, 1.5, 0)
-
-	c := s.Counters()
-	want := Counters{
-		Commits: 1, UserAborts: 1, Retries: 2,
-		KillsIssued: 1, KillsSuffered: 3, Irrevocable: 1,
-		GraceWaitNs: 100, DurNs: 1500,
-	}
-	if c != want {
-		t.Fatalf("counters = %+v, want %+v", c, want)
-	}
-	if next.n != 2 || next.annotated != 1 {
-		t.Fatalf("tee saw %d traces / %d annotations, want 2 / 1", next.n, next.annotated)
+	d, prev := delta(p, metrics.PlaneSnapshot{})
+	w := windowOf(&d, time.Second)
+	want := Window{Commits: 1, KillsIssued: 1, GraceWaitNs: 100, DurNs: 1000, Elapsed: time.Second}
+	w.CommitP50Ns, w.CommitP99Ns = 0, 0
+	if w != want {
+		t.Fatalf("window = %+v, want %+v", w, want)
 	}
 
-	// Window math over a delta.
-	prev := c
-	feed(s, 3, 50, 100)
-	w := s.Counters().Sub(prev, time.Second)
-	if w.Commits != 3 || w.GraceWaitNs != 150 || w.DurNs != 300 {
-		t.Fatalf("window = %+v", w.Counters)
+	// Window math over a delta, fed from another worker's shard.
+	feed(p.Shard(1), 3, 50, 100)
+	d, _ = delta(p, prev)
+	w = windowOf(&d, time.Second)
+	if w.Commits != 3 || w.KillsIssued != 0 || w.GraceWaitNs != 150 || w.DurNs != 300 {
+		t.Fatalf("window = %+v", w)
 	}
 	if got := w.GraceFrac(); got != 0.5 {
 		t.Fatalf("GraceFrac = %v, want 0.5", got)
@@ -60,40 +64,37 @@ func TestSamplerCountersAndTee(t *testing.T) {
 	if got := w.CommitsPerSec(); got != 3 {
 		t.Fatalf("CommitsPerSec = %v, want 3", got)
 	}
+	if got := (Window{}).GraceFrac(); got != 0 {
+		t.Fatalf("idle GraceFrac = %v, want 0", got)
+	}
 }
 
-// TestSamplerLatencyHistogram checks the commit-latency feed: only
+// TestWindowCommitQuantiles checks the commit-latency feed: only
 // commits are observed, and two snapshots difference into a windowed
 // distribution with quantiles near the fed durations.
-func TestSamplerLatencyHistogram(t *testing.T) {
-	s := NewSampler(nil)
-	feed(s, 10, 0, 1000)
-	s.TraceTx(&stm.TxTrace{Committed: false, DurNs: 1 << 40}) // abort: not a commit latency
-	lat := s.Latency()
-	if lat.Count != 10 {
-		t.Fatalf("latency count = %d, want 10 (aborts must not observe)", lat.Count)
+func TestWindowCommitQuantiles(t *testing.T) {
+	p := metrics.NewPlane(1, 0)
+	sh := p.Shard(0)
+	feed(sh, 10, 0, 1000)
+	sh.ObserveAttempt(1 << 40) // an aborted attempt: not a commit latency
+	sh.Abort(metrics.AbortKilled)
+	d, prev := delta(p, metrics.PlaneSnapshot{})
+	w := windowOf(&d, time.Second)
+	if w.Commits != 10 {
+		t.Fatalf("commits = %d, want 10 (aborts must not observe)", w.Commits)
 	}
-	if q := lat.Quantile(0.99); q < 1000*(1-1.0/16) || q > 1000*(1+1.0/16) {
+	if q := w.CommitP99Ns; q < 1000*(1-1.0/16) || q > 1000*(1+1.0/16) {
 		t.Fatalf("p99 = %v, want ~1000 within bucket error", q)
 	}
 
-	prev := lat
-	feed(s, 5, 0, 8000)
-	d := s.Latency().Sub(prev)
-	if d.Count != 5 {
-		t.Fatalf("window delta count = %d, want 5", d.Count)
+	feed(sh, 5, 0, 8000)
+	d, _ = delta(p, prev)
+	w = windowOf(&d, time.Second)
+	if w.Commits != 5 {
+		t.Fatalf("window delta commits = %d, want 5", w.Commits)
 	}
-	if q := d.Quantile(0.5); q < 8000*(1-1.0/16) || q > 8000*(1+1.0/16) {
+	if q := w.CommitP50Ns; q < 8000*(1-1.0/16) || q > 8000*(1+1.0/16) {
 		t.Fatalf("windowed p50 = %v, want ~8000", q)
-	}
-}
-
-func TestSamplerWithoutTee(t *testing.T) {
-	s := NewSampler(nil)
-	s.TraceTx(&stm.TxTrace{Committed: true})
-	s.AnnotateProgram(0, 1, 0, 0) // must not panic with no downstream
-	if s.Counters().Commits != 1 {
-		t.Fatal("commit not counted")
 	}
 }
 
@@ -102,13 +103,10 @@ func TestSamplerWithoutTee(t *testing.T) {
 func activeWindow(graceFrac float64) Window {
 	const dur = 1_000_000
 	return Window{
-		Counters: Counters{
-			Commits:     1000,
-			Retries:     100,
-			GraceWaitNs: int64(graceFrac * dur),
-			DurNs:       dur,
-		},
-		Elapsed: time.Second,
+		Commits:     1000,
+		GraceWaitNs: uint64(graceFrac * dur),
+		DurNs:       dur,
+		Elapsed:     time.Second,
 	}
 }
 
@@ -332,19 +330,18 @@ func TestControllerP99Backoff(t *testing.T) {
 }
 
 // TestTunerStepP99Decision drives the loop end to end: the Tuner
-// differences the Sampler's histogram, the Controller sees the
+// differences the plane's commit histogram, the Controller sees the
 // windowed p99 collapse, and the runtime's policy lane is halved. A
 // huge flat tolerance removes the wall-clock-dependent throughput
 // veto so the test is deterministic.
 func TestTunerStepP99Decision(t *testing.T) {
-	s := NewSampler(nil)
 	cfg := stm.DefaultConfig()
 	cfg.Lazy = true
-	cfg.Trace = s
 	cfg.KWindow = 64
 	cfg.CommitBatch = 8
 	rt := stm.New(64, cfg)
-	tn := New(rt, s, Limits{P99FlatTol: 1e9}, time.Hour)
+	tn := New(rt, Limits{P99FlatTol: 1e9}, time.Hour)
+	s := rt.Metrics().Shard(0)
 
 	feed(s, 1000, 100, 1000) // gf=0.1: lane band holds; seeds p99 baseline
 	if tn.Step() {
@@ -368,15 +365,14 @@ func TestTunerStepP99Decision(t *testing.T) {
 }
 
 func TestTunerStepAppliesDecision(t *testing.T) {
-	s := NewSampler(nil)
 	cfg := stm.DefaultConfig()
 	cfg.Lazy = true
-	cfg.Trace = s
 	cfg.KWindow = 64
 	cfg.Policy = core.RequestorAborts
 	rt := stm.New(64, cfg)
 
-	tn := New(rt, s, Limits{}, time.Hour) // Step drives it, not the ticker
+	tn := New(rt, Limits{}, time.Hour) // Step drives it, not the ticker
+	s := rt.Metrics().Shard(0)
 	// Window 1: busy with heavy grace waiting — lane should open.
 	feed(s, 1000, 600, 1000)
 	if !tn.Step() {
@@ -404,12 +400,11 @@ func TestTunerStepAppliesDecision(t *testing.T) {
 }
 
 func TestTunerOverrideAndResume(t *testing.T) {
-	s := NewSampler(nil)
 	cfg := stm.DefaultConfig()
 	cfg.Lazy = true
-	cfg.Trace = s
 	rt := stm.New(64, cfg)
-	tn := New(rt, s, Limits{}, time.Hour)
+	tn := New(rt, Limits{}, time.Hour)
+	s := rt.Metrics().Shard(0)
 
 	p := rt.Policy()
 	p.Hybrid = true
@@ -441,12 +436,11 @@ func TestTunerOverrideAndResume(t *testing.T) {
 }
 
 func TestTunerStartStop(t *testing.T) {
-	s := NewSampler(nil)
 	cfg := stm.DefaultConfig()
 	cfg.Lazy = true
-	cfg.Trace = s
 	rt := stm.New(64, cfg)
-	tn := New(rt, s, Limits{}, time.Millisecond)
+	tn := New(rt, Limits{}, time.Millisecond)
+	s := rt.Metrics().Shard(0)
 	tn.Start()
 	tn.Start() // idempotent
 	feed(s, 1000, 600, 1000)

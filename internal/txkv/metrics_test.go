@@ -149,7 +149,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	// The exposed histogram count matches the runtime counter (the
 	// store is quiesced between RunLocal and the scrape).
-	commits := store.Runtime().Stats.Commits.Load()
+	commits := store.Runtime().Stats.Snapshot()["commits"]
 	want := "txstm_commit_latency_seconds_count " + strconv.FormatUint(commits, 10)
 	if !strings.Contains(body, want) {
 		t.Errorf("exposition lacks %q (runtime commits = %d)", want, commits)

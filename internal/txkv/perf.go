@@ -130,25 +130,23 @@ func Perf(cfg PerfConfig) (*PerfReport, error) {
 					return nil, fmt.Errorf("txkv: perf cell %s/%s/p%d: %w",
 						wname, mode.name, procs, err)
 				}
-				snap := s.Runtime().Stats.Snapshot()
-				cell := PerfCell{
-					Workload:   wname,
-					Mode:       mode.name,
-					GOMAXPROCS: procs,
-					Users:      procs,
-					OpsPerSec:  res.OpsPerSec(),
-					Ops:        res.Ops,
-					Commits:    snap["commits"],
-					Aborts:     snap["aborts"],
-					Batches:    snap["batches"],
-					Folded:     snap["foldedCommits"],
-				}
-				if p := s.Runtime().Metrics(); p != nil {
-					ps := p.Snapshot()
-					q := ps.Commit.Summary()
-					cell.CommitP50Ns, cell.CommitP99Ns = q.P50, q.P99
-				}
-				rep.Cells = append(rep.Cells, cell)
+				ps := s.Runtime().Metrics().Snapshot()
+				snap := ps.Counters()
+				q := ps.Commit.Summary()
+				rep.Cells = append(rep.Cells, PerfCell{
+					Workload:    wname,
+					Mode:        mode.name,
+					GOMAXPROCS:  procs,
+					Users:       procs,
+					OpsPerSec:   res.OpsPerSec(),
+					Ops:         res.Ops,
+					Commits:     snap["commits"],
+					Aborts:      snap["aborts"],
+					Batches:     snap["batches"],
+					Folded:      snap["foldedCommits"],
+					CommitP50Ns: q.P50,
+					CommitP99Ns: q.P99,
+				})
 			}
 		}
 	}

@@ -227,11 +227,13 @@ func TestPolicyEndpoint(t *testing.T) {
 		}
 		cfg := stm.DefaultConfig()
 		cfg.Lazy = true
-		sampler := tune.NewSampler(cfg.Trace)
-		cfg.Trace = sampler
 		store := w.NewStore(Config{STM: cfg})
 		sv := NewServer(store, 2, 1)
-		sv.AttachTuner(tune.New(store.Runtime(), sampler, tune.Limits{}, time.Hour))
+		sv.AttachTuner(tune.New(store.Runtime(), tune.Limits{}, time.Hour))
+		// The tuner reads the metrics plane; it needs no tracer.
+		if tr := store.Runtime().Config().Trace; tr != nil {
+			t.Fatalf("tuned runtime has tracer %T installed, want none", tr)
+		}
 		defer sv.Close()
 		ts := httptest.NewServer(sv)
 		defer ts.Close()
